@@ -13,15 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Tuple, Union
 
-from .dyadic import (
-    CEIL,
-    DY_ZERO,
-    Dyadic,
-    DyadicInterval,
-    dy_add,
-    dy_cmp,
-    dy_cmp_fraction,
-)
+from .dyadic import Dyadic, DyadicInterval, dy_cmp_fraction
 from .errors import BudgetExceededError, DomainError
 
 PRECISION_CAP_DEFAULT = 1 << 20
@@ -52,26 +44,30 @@ def pow_rat(x: Union[Fraction, int], e: int) -> Fraction:
 # logarithms
 
 def _atanh_series(z: Fraction, w: int) -> DyadicInterval:
-    """Enclosure of atanh(z) = sum z^(2j+1)/(2j+1) for 0 <= z <= 0.34."""
-    if z == 0:
-        return DyadicInterval(DY_ZERO, DY_ZERO, w)
-    Z = DyadicInterval.from_fraction(z, w)
-    Z2 = Z.mul(Z)
-    acc = DyadicInterval(DY_ZERO, DY_ZERO, w)
-    power = Z
+    """Enclosure of atanh(z) = sum z^(2j+1)/(2j+1) for 0 <= z <= 0.34.
+
+    Two fixed-point sums in units of 2**-W, W = w + 8: the lower one rounds
+    every step down, the upper one every step up.  Every operand is
+    nonnegative, so by monotonicity [lo, hi] * 2**-W encloses the exact
+    partial sum; the upper end also carries the tail bound.
+    """
+    p, q = z.numerator, z.denominator
+    W = w + 8
+    x_lo = (p << W) // q
+    x_hi = -((-p << W) // q)
+    x2_lo = x_lo * x_lo >> W
+    x2_hi = -((-x_hi * x_hi) >> W)
+    lo = hi = 0
+    t_lo, t_hi = x_lo, x_hi  # bounds on z^n * 2**W
     n = 1
-    tiny = Dyadic(1, -w)
-    for _ in range(4 * w + 16):
-        acc = acc.add(power.mul_frac(Fraction(1, n)))
-        power = power.mul(Z2)
+    while t_hi > 1 << 8:  # stop once z^n <= 2**-w
+        lo += t_lo // n
+        hi -= -t_hi // n
+        t_lo = t_lo * x2_lo >> W
+        t_hi = -((-t_hi * x2_hi) >> W)
         n += 2
-        if dy_cmp(power.hi, tiny) <= 0:
-            break
-    else:
-        raise DomainError("atanh series failed to converge")
     # tail: sum_{odd j >= n} z^j/j <= z^n / (1 - z^2) <= 2 * ub(z^n)
-    tail = Dyadic(power.hi.m, power.hi.e + 1) if power.hi.m > 0 else DY_ZERO
-    return DyadicInterval(acc.lo, dy_add(acc.hi, tail, w, CEIL), w)
+    return DyadicInterval(Dyadic(lo, -W), Dyadic(hi + 2 * t_hi, -W), w)
 
 
 @lru_cache(maxsize=None)
@@ -156,24 +152,38 @@ def pi_bounds(prec: int) -> Tuple[Fraction, Fraction]:
 
 
 def cos_bounds(t: Fraction, prec: int) -> Tuple[Fraction, Fraction]:
-    """Rational bracket of cos(t) for 0 <= t <= 4."""
+    """Rational bracket of cos(t) for 0 <= t <= 4.
+
+    The Taylor terms t^(2j)/(2j)! are kept as fixed-point integers in units
+    of 2**-W, a lower copy rounded down and an upper copy rounded up at
+    every step; subtracting a term takes the upper copy off the lower sum
+    and the lower copy off the upper sum.
+    """
     if t < 0 or t > 4:
         raise DomainError("cos_bounds expects 0 <= t <= 4")
-    t2 = t * t
-    s = Fraction(1)
-    term = Fraction(1)
+    p2, q2 = t.numerator ** 2, t.denominator ** 2
+    W = prec + 8
+    t2_lo = (p2 << W) // q2
+    t2_hi = -((-p2 << W) // q2)
+    one = 1 << W
+    s_lo = s_hi = t_lo = t_hi = one
+    bound = 1 << (W - prec)
     j = 0
-    sign = 1
-    bound = Fraction(1, 1 << prec)
     while True:
         j += 1
-        term = term * t2 / ((2 * j - 1) * (2 * j))
-        sign = -sign
-        if (2 * j + 1) * (2 * j + 2) > t2 and term < bound:
+        d = (2 * j - 1) * (2 * j) << W
+        t_lo = t_lo * t2_lo // d
+        t_hi = -(-t_hi * t2_hi // d)
+        if (2 * j + 1) * (2 * j + 2) * q2 > p2 and t_hi < bound:
             break
-        s += sign * term
+        if j & 1:
+            s_lo -= t_hi
+            s_hi -= t_lo
+        else:
+            s_lo += t_lo
+            s_hi += t_hi
     # remaining tail is alternating with decreasing terms from here on
-    return (s - term, s + term)
+    return (Fraction(s_lo - t_hi, one), Fraction(s_hi + t_hi, one))
 
 
 # ---------------------------------------------------------------------------

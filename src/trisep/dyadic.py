@@ -73,12 +73,6 @@ class Dyadic:
             return Fraction(self.m << self.e)
         return Fraction(self.m, 1 << (-self.e))
 
-    def as_float(self) -> float:
-        try:
-            return float(self.as_fraction())
-        except (OverflowError, DomainError):
-            return float("inf") if self.m > 0 else float("-inf")
-
     def text(self) -> str:
         return f"{self.m}*2^{self.e}"
 
@@ -157,14 +151,6 @@ def dy_cmp(a: Dyadic, b: Dyadic) -> int:
     if d >= 0:
         return _sign((am << d) - bm)
     return _sign(am - (bm << (-d)))
-
-
-def dy_min(a: Dyadic, b: Dyadic) -> Dyadic:
-    return a if dy_cmp(a, b) <= 0 else b
-
-
-def dy_max(a: Dyadic, b: Dyadic) -> Dyadic:
-    return a if dy_cmp(a, b) >= 0 else b
 
 
 def dy_add(a: Dyadic, b: Dyadic, prec: int, rnd: int) -> Dyadic:
@@ -360,11 +346,6 @@ class DyadicInterval:
 
     def midpoint(self) -> Dyadic:
         return dy_half_sum(self.lo, self.hi)
-
-    def mag_upper(self) -> Dyadic:
-        """Upper bound on |x| over the interval."""
-        return dy_max(dy_round(Dyadic(abs(self.lo.m), self.lo.e), self.precision, CEIL),
-                      dy_round(Dyadic(abs(self.hi.m), self.hi.e), self.precision, CEIL))
 
     # -- arithmetic ----------------------------------------------------
 

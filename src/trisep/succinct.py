@@ -3,9 +3,12 @@
 Equality is decided structurally: the exponent vectors of both sides over a
 shared coprime (gcd-free) basis either match or they do not.  Only after a
 nonzero difference is certain does the adaptive-precision path evaluate the
-corresponding linear form in logarithms, with the Baker-Wustholz floor
-certifying that the refinement terminates.  The numeric path never has to
-decide the zero case, which is exactly the case the floor cannot certify.
+corresponding linear form in logarithms, doubling the precision up to a cap;
+a nonzero form that needs more than the cap raises BudgetExceededError.  The
+Baker-Wustholz floor is computed for every form, but the precision it
+certifies (``BakerFloor.required_bits``) lies far above the default cap of
+2**20 bits, so it bounds no decision.  The numeric path never has to decide
+the zero case.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
 """Trinomial domain logic: counting, critical points, bounds, sign evaluation.
 
-The counting algorithm never approximates: the only nontrivial decision --
-does a same-sign trinomial dip below zero at its positive critical point --
-is the sign of a discriminant comparison between two succinct integer
-products, decided exactly by ``compare_succinct``.  That keeps the cost
-polynomial in the bit size of the coefficients and exponents, so exponents
-like 10**18 are fine.
+The counting algorithm never decides from an approximate value: the only
+nontrivial decision -- does a same-sign trinomial dip below zero at its
+positive critical point -- is the sign of a linear form in two logarithms
+(``_discriminant_comparison``).  Its zero case, the double root, is decided
+structurally; a nonzero sign comes from certified intervals refined up to
+the precision cap, and raises a budget error beyond it.  That keeps the
+cost polynomial in the bit size of the coefficients and exponents, so
+exponents like 10**18 are fine.
 
 Separation bounds are returned in exact log-space rationals: with constants
 near 10**9 the bound exp(-C s^3) underflows every fixed-precision float.
@@ -45,8 +47,6 @@ from .errors import (
 from .succinct import (
     LinearFormInLogs,
     Ordering,
-    SuccinctInt,
-    compare_succinct,
     linear_form_is_zero,
     sign_linear_form,
 )
@@ -117,12 +117,6 @@ class Trinomial:
 
     def s_param(self) -> Fraction:
         return _s_param(self)
-
-    def sparse_size(self) -> float:
-        """Sum of the bit sizes of coefficients and exponents."""
-        from math import log
-
-        return sum(log(1 + abs(c)) + log(1 + e) for c, e in self.terms())
 
 
 SparsePoly = Union[Monomial, Binomial, Trinomial]
@@ -244,16 +238,21 @@ def reciprocal(f: Trinomial) -> Trinomial:
 
 def _discriminant_comparison(a: int, b: int, c: int, beta: int, gamma: int,
                              *, max_bits: int = PRECISION_CAP_DEFAULT) -> Ordering:
-    """Compare (|a|g)^(g-b) (|c|g)^b against (|b|b)^b (|b|(g-b))^(g-b).
+    """Sign of the two-log form k ln(|a|g / (|b|k)) + beta ln(|c|g / (|b|beta)).
 
-    LESS means the trinomial |a| + b x^beta + c x^gamma (signs of a and c
-    equal, b opposite) dips through zero at its critical point: two positive
-    roots.  EQUAL is the double-root boundary, GREATER means no positive root.
+    Here g = gamma and k = gamma - beta; the form is the log of
+    (|a|g)^k (|c|g)^beta / ((|b|beta)^beta (|b|k)^k).  LESS means the
+    trinomial |a| + b x^beta + c x^gamma (signs of a and c equal, b
+    opposite) dips through zero at its critical point: two positive roots.
+    EQUAL is the double-root boundary, decided by the structural zero test
+    alone; GREATER means no positive root.
     """
     k = gamma - beta
-    lhs = SuccinctInt(1, ((abs(a) * gamma, k), (abs(c) * gamma, beta)))
-    rhs = SuccinctInt(1, ((abs(b) * beta, beta), (abs(b) * k, k)))
-    return compare_succinct(lhs, rhs, max_bits=max_bits)
+    form = LinearFormInLogs.from_terms([
+        (Fraction(abs(a) * gamma, abs(b) * k), k),
+        (Fraction(abs(c) * gamma, abs(b) * beta), beta),
+    ])
+    return Ordering(sign_linear_form(form, max_bits=max_bits))
 
 
 def _positive_count(terms: Sequence[Tuple[int, int]],

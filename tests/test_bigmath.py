@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from trisep import (
@@ -16,7 +17,7 @@ from trisep import (
     refine,
     refine_sign,
 )
-from trisep.bigmath import cos_bounds, ln2_interval, pi_bounds
+from trisep.bigmath import _atanh_series, cos_bounds, ln2_interval, pi_bounds
 from trisep.dyadic import CEIL, FLOOR, dy_add, dy_cmp, dy_cmp_fraction, dy_from_fraction
 
 # frozen reference: ln 2 to 200 digits from an independent high-precision
@@ -26,6 +27,26 @@ LN2_200 = Fraction(
     "36219696947156058633269964186875420014810205706857336855202357581305570"
     "3267075163507596193072757082837143519030703862389167347112335"
 )
+
+
+def mp_reference(fn, x: Fraction, prec: int):
+    """(fn(x), error bound) from mpmath, which shares no code with trisep.
+
+    mpmath works at 4*prec bits of relative precision, and the argument
+    converts exactly; at x = 0 (atanh 0 = 0, cos 0 = 1) the value is exact.
+    """
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    with mpmath.workprec(4 * prec + bits + 64):
+        y = fn(mpmath.mpf(x.numerator) / x.denominator)
+        m, e = y.man_exp  # man_exp drops the sign
+    ref = (Fraction(m) if y >= 0 else -Fraction(m)) * Fraction(2) ** e
+    return ref, (0 if x == 0 else abs(ref) / 2 ** (4 * prec))
+
+
+def assert_encloses(lo: Fraction, hi: Fraction, reference):
+    """[lo, hi] contains the reference value and its error bound."""
+    ref, err = reference
+    assert lo <= ref - err and ref + err <= hi, (lo, ref, hi)
 
 
 class TestDyadic:
@@ -136,6 +157,29 @@ class TestLn:
             assert dy_cmp(outer.lo, inner.lo) <= 0
             assert dy_cmp(inner.hi, outer.hi) <= 0
 
+    def test_atanh_series_against_mpmath(self):
+        near_third = Fraction(3 ** 200 - 1, 3 ** 201 + 2)  # > 300-bit terms
+        assert near_third.denominator.bit_length() >= 300
+        for z in (Fraction(0), Fraction(1, 2 ** 200), Fraction(1, 7),
+                  Fraction(1, 3), near_third):
+            for w in (4, 8, 53, 192, 1000):
+                iv = _atanh_series(z, w)
+                lo, hi = iv.lo.as_fraction(), iv.hi.as_fraction()
+                assert_encloses(lo, hi, mp_reference(mpmath.atanh, z, w))
+                assert hi - lo <= Fraction(4, 2 ** w)
+
+    def test_ln_against_mpmath(self):
+        big = 2 ** 256 * 10 ** 18
+        xs = [Fraction(n) for n in (2, 3, 10 ** 18 + 9, big - 1, big)]
+        xs += [Fraction(1, 3), Fraction(999, 1000), Fraction(1, big),
+               Fraction(big - 1, big), Fraction(1001, 1000),
+               Fraction(big, 3 ** 40), Fraction(10 ** 18 + 1, 10 ** 18)]
+        for x in xs:
+            for prec in (4, 8, 53, 192, 1000):
+                iv = ln_interval(x, prec)
+                assert_encloses(iv.lo.as_fraction(), iv.hi.as_fraction(),
+                                mp_reference(mpmath.log, x, prec))
+
     def test_monotone_refinement(self, rng):
         for _ in range(40):
             x = Fraction(rng.randint(2, 10 ** 6), rng.randint(1, 10 ** 6))
@@ -237,6 +281,15 @@ class TestTrig:
         pl, ph = pi_bounds(120)
         clo, chi = cos_bounds(pl / 2, 80)
         assert abs(clo) < Fraction(1, 2 ** 60) or clo <= 0 <= chi
+        # against mpmath, at the chord angles 2 pi / k the binomial bound uses
+        pl = pi_bounds(300)[0]
+        ts = [Fraction(0), Fraction(4)]
+        ts += [2 * pl / k for k in (3, 4, 5, 7, 10, 1000, 10 ** 9, 10 ** 18)]
+        for t in ts:
+            for prec in (80, 280):
+                lo, hi = cos_bounds(t, prec)
+                assert_encloses(lo, hi, mp_reference(mpmath.cos, t, prec))
+                assert hi - lo <= Fraction(4, 2 ** prec)
 
     def test_ln2_interval_cached_consistency(self):
         a = ln2_interval(64)

@@ -1,6 +1,7 @@
 """Counting, critical points, bounds, and sign evaluation for trinomials."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,14 @@ from trisep import (
     Binomial,
     DomainError,
     Monomial,
+    Ordering,
     SturmOracle,
+    SuccinctInt,
     Trinomial,
     ZeroPolynomialError,
     binomial_min_lower_bound,
     cauchy_bounds,
+    compare_succinct,
     count_real_roots,
     critical_point,
     derivative_sup_bound,
@@ -25,7 +29,7 @@ from trisep import (
     sign_at_rational,
 )
 from trisep.constants import LEDGER
-from trisep.trinomial import format_terms, parse_terms
+from trisep.trinomial import _discriminant_comparison, format_terms, parse_terms
 
 from conftest import random_stripped_trinomial, random_trinomial
 
@@ -144,6 +148,43 @@ class TestCount:
             f = random_trinomial(rng, max_exp=60, max_coeff=10 ** 4)
             rep = count_real_roots(f)
             assert rep.total_distinct == SturmOracle(f).distinct_real_roots()
+
+    def test_two_log_discriminant_matches_four_factor_pair(self):
+        # reference: the product comparison the two-log form is the log of,
+        # (|a|g)^k (|c|g)^beta against (|b|beta)^beta (|b|k)^k, k = g - beta
+        def four_factor(a, b, c, beta, gamma):
+            k = gamma - beta
+            lhs = SuccinctInt(1, ((abs(a) * gamma, k), (abs(c) * gamma, beta)))
+            rhs = SuccinctInt(1, ((abs(b) * beta, beta), (abs(b) * k, k)))
+            return compare_succinct(lhs, rhs)
+
+        rng = random.Random(20171109)
+        cases = []
+        for _ in range(150):
+            f = random_stripped_trinomial(rng)
+            a, c = abs(f.a), abs(f.c)
+            cases.append((a, -abs(f.b), c, f.beta, f.gamma))
+            # f(x^m) with exponents near 10^18 and coefficients times lam
+            m = rng.randrange(10 ** 18 // (2 * f.gamma), 10 ** 18 // f.gamma)
+            lam = rng.randint(1, 2 ** 256)
+            cases.append((a * lam, -abs(f.b) * lam, c * lam,
+                          f.beta * m, f.gamma * m))
+        ties = []
+        for beta in (1, 7, 500, 10 ** 12, 10 ** 18):
+            c = rng.randint(2, 2 ** 127)
+            d = rng.randint(2, 2 ** 127)
+            ties.append((d * d, -2 * c * d, c * c, beta, 2 * beta))
+            # one unit off the tie on either side
+            cases.append((d * d + 1, -2 * c * d, c * c, beta, 2 * beta))
+            cases.append((d * d - 1, -2 * c * d, c * c, beta, 2 * beta))
+        seen = set()
+        for args in cases + ties:
+            got = _discriminant_comparison(*args)
+            assert got is four_factor(*args), args
+            seen.add(got)
+        assert seen == set(Ordering)
+        for args in ties:
+            assert _discriminant_comparison(*args) is Ordering.EQUAL
 
 
 class TestCriticalPoint:
